@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload fov-repair --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload fov-repair --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off;
 ``--trace 1`` alternates untraced and traced repetitions, prints the
@@ -109,10 +109,6 @@ ZERO_ON_BYPASS = {
 }
 PER_LAYER = [name for name in LAYER_UNITS if name not in ZERO_ON_BYPASS]
 
-#: Share of an untraced run's time spent on extra runtime constructions,
-#: so that ``setup_s`` is the median of many set-ups spread over the run.
-SETUP_SHARE = 0.1
-
 
 def layer_metrics(log, runtime, report) -> dict[str, float]:
     """Per-layer metrics of one traced repetition."""
@@ -171,34 +167,33 @@ def layer_metrics(log, runtime, report) -> dict[str, float]:
     }
 
 
-def round_minima(instances, field: str) -> list[float]:
-    """Each round's fastest time over the repetitions of its scenario instance.
+def minima(series: list[list[float]]) -> list[float]:
+    """Each slot's fastest time over the run's repetitions.
 
-    ``instances`` holds one list of repetitions per instance.  Repetitions
-    replay identical simulated work, so round ``i`` of every repetition
-    does the same computation; its fastest time is the one other tenants
-    of the host slowed least.
+    ``series`` holds one list of times per repetition.  Repetitions replay
+    identical work, so slot ``i`` (a control round, or a set-up) of every
+    repetition does the same computation; its fastest time is the one
+    other tenants of the host slowed least.
     """
-    return [
-        min(times)
-        for repetitions in instances
-        for times in zip(*(getattr(r, field) for r in repetitions))
-    ]
+    return [min(times) for times in zip(*series)]
 
 
-def rounds_per_s(instances) -> float:
-    segments = round_minima(instances, "segment_s")
+def rounds_per_s(repetitions) -> float:
+    segments = minima([r.segment_s for r in repetitions])
     return len(segments) / sum(segments)
 
 
-def end_to_end(instances, setups: list[float], peak_mb: float) -> dict[str, float]:
-    """End-to-end metrics over every repetition of an untraced run."""
-    round_ms = [s * 1e3 for s in round_minima(instances, "round_s")]
+def end_to_end(repetitions, setups: list[list[float]], peak_mb: float) -> dict[str, float]:
+    """End-to-end metrics over every repetition of an untraced run.
+
+    ``setups`` holds the set-up times of each repetition, one per slot.
+    """
+    round_ms = [s * 1e3 for s in minima([r.round_s for r in repetitions])]
     return {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(minima(setups)),
         "round_p50_ms": statistics.median(round_ms),
         "round_p90_ms": statistics.quantiles(round_ms, n=10)[8],
-        "rounds_per_s": rounds_per_s(instances),
+        "rounds_per_s": rounds_per_s(repetitions),
         "peak_rss_mb": peak_mb,
     }
 
@@ -236,56 +231,49 @@ def main() -> int:
     args = parser.parse_args()
 
     workload = workloads.WORKLOADS[args.workload]
-    # A traced run repeats instance 0 only, so that its traced and untraced
-    # repetitions pair up.
-    specs = [
-        workload.spec(workloads.instance_seed(args.seed, k), tiny=args.tiny)
-        for k in range(1 if args.trace else workloads.INSTANCES)
-    ]
-    untraced: list[list] = [[] for _ in specs]
+    spec = workload.spec(args.seed, tiny=args.tiny)
+    untraced: list = []
     traced: list = []
     layers: list[dict[str, float]] = []
     log = SpanLog()
-    setups: list[float] = []
+    setups: list[list[float]] = []
     attempted = failed = 0
     failures: list[str] = []
     start = time.perf_counter()
-    # Closed loop: repetitions of the instances, round robin, until the
-    # measuring time is spent, set-ups included.  A traced run alternates
-    # untraced and traced repetitions.
+    # Closed loop: repetitions until the measuring time is spent, set-ups
+    # included.  A traced run alternates untraced and traced repetitions.
     while (
-        min(map(len, untraced)) < workloads.MIN_REPS
+        len(untraced) < workloads.MIN_REPS
         or (args.trace and len(traced) < workloads.MIN_REPS)
         or time.perf_counter() - start < args.seconds
     ):
-        tracing = bool(args.trace) and len(traced) < len(untraced[0])
-        k = 0 if tracing else min(range(len(specs)), key=lambda i: len(untraced[i]))
-        earlier = untraced[k] + (traced if k == 0 else [])
+        tracing = bool(args.trace) and len(traced) < len(untraced)
+        earlier = untraced + traced
         if tracing:
             log.clear()
-        repetition, runtime = workloads.repeat(workload, specs[k], log if tracing else None)
+        repetition, runtime = workloads.repeat(workload, spec, log if tracing else None)
         if not earlier and workload.dataplane:
             repetition.failures += workloads.cross_check_dataplane(runtime)
         if earlier and (repetition.sim, len(repetition.round_s)) != (
             earlier[0].sim,
             len(earlier[0].round_s),
         ):
-            repetition.failures.append(f"seed {specs[k].seed} ran differently when repeated")
+            repetition.failures.append(f"seed {spec.seed} ran differently when repeated")
         attempted += 1
         failed += bool(repetition.failures)
         failures += [f for f in repetition.failures if f not in failures]
         if not repetition.sim:
             break
-        (traced if tracing else untraced[k]).append(repetition)
+        (traced if tracing else untraced).append(repetition)
         if tracing:
             layers.append(layer_metrics(log, runtime, runtime.report))
-        else:
-            setups.append(repetition.setup_s)
         del runtime
-        # More set-ups, spread over the run, while they take a small share.
-        while not args.trace and sum(setups) < SETUP_SHARE * (time.perf_counter() - start):
-            setups.append(workloads.time_setup(workload, specs[k]))
-    if not all(untraced) or (args.trace and not traced):
+        if not args.trace:
+            extra = workloads.SETUPS_PER_REP - 1
+            setups.append(
+                [repetition.setup_s] + [workloads.time_setup(workload, spec) for _ in range(extra)]
+            )
+    if not untraced or (args.trace and not traced):
         print(f"perfbench: {args.workload} failed: {'; '.join(failures)}", file=sys.stderr)
         return 1
 
@@ -293,15 +281,14 @@ def main() -> int:
         f"perfbench {args.workload} seed={args.seed} trace={args.trace}: "
         f"{attempted} repetitions in {time.perf_counter() - start:.2f} s"
     )
-    for spec, repetitions in zip(specs, untraced):
-        sim = repetitions[0].sim
-        print(f"sim of scenario seed {spec.seed} (deterministic, digest {sim_digest(sim)}):")
-        for name, value in sim.items():
-            print(f"  {name:24s} {value!r} {workloads.SIM_UNITS[name]}")
+    sim = untraced[0].sim
+    print(f"sim of scenario seed {spec.seed} (deterministic, digest {sim_digest(sim)}):")
+    for name, value in sim.items():
+        print(f"  {name:24s} {value!r} {workloads.SIM_UNITS[name]}")
     if args.trace:
         values = layer_values(layers)
         values["trace.rounds_per_s_untraced"] = rounds_per_s(untraced)
-        values["trace.rounds_per_s_traced"] = rounds_per_s([traced])
+        values["trace.rounds_per_s_traced"] = rounds_per_s(traced)
         values["trace.overhead_ratio"] = (
             1.0 - values["trace.rounds_per_s_traced"] / values["trace.rounds_per_s_untraced"]
         )
@@ -313,15 +300,12 @@ def main() -> int:
             f"{trace_file.relative_to(ROOT)}):"
         )
     else:
-        while len(setups) < workloads.MIN_SETUPS:
-            setups.append(workloads.time_setup(workload, specs[0]))
         values = end_to_end(untraced, setups, workloads.peak_rss_mb())
         units, metrics_out = END_TO_END_UNITS | TAIL_UNITS, list(END_TO_END_UNITS)
-        runs = sorted(r.run_s for repetitions in untraced for r in repetitions)
+        runs = sorted(r.run_s for r in untraced)
         print(
-            f"end to end (per-round minima over {len(runs)} repetitions of "
-            f"{len(specs)} scenarios, run() {runs[0]:.3f}-{runs[-1]:.3f} s; "
-            f"median of {len(setups)} set-ups):"
+            f"end to end (per-round minima over {len(runs)} repetitions, "
+            f"run() {runs[0]:.3f}-{runs[-1]:.3f} s; {workloads.SETUPS_PER_REP} set-ups each):"
         )
     for name, value in values.items():
         print(f"  {name:40s} {value!r} {units[name]}")

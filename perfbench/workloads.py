@@ -2,13 +2,12 @@
 
 Every workload is a whole scenario driven through the public
 :class:`~repro.scenarios.runtime.ScenarioRuntime` API.  A run repeats
-the scenario instances its seed gives (:func:`instance_seed`), a fresh
-runtime each time, until the measuring time is spent: a closed loop,
-because the simulated clock stands still while a round computes.  Each
-repetition times the runtime's construction (``setup_s``), its
-``run()``, and every control round inside it.  The simulated work is
-identical in every repetition of an instance, so its round ``i`` can be
-compared across them.
+the scenario its seed gives, a fresh runtime each time, until the
+measuring time is spent: a closed loop, because the simulated clock
+stands still while a round computes.  Each repetition times the
+runtime's construction (``setup_s``), its ``run()``, and every control
+round inside it.  The simulated work is identical in every repetition,
+so its round ``i`` can be compared across them.
 
 Why each workload exists is recorded in ``BENCHMARK.json``;
 ``layers.json`` maps layer metrics to the end-to-end metric and
@@ -45,11 +44,9 @@ BACKEND = "numpy"
 #: Fewest repetitions of the scenario per run (per side of a traced run):
 #: each round's time is its minimum over them.
 MIN_REPS = 3
-#: Scenario instances an untraced run measures: the seed's own and more
-#: derived from it, so that a run's rounds do not all come from one draw.
-INSTANCES = 2
-#: Fewest runtime constructions per run that ``setup_s`` is the median of.
-MIN_SETUPS = 3
+#: Runtime constructions timed per untraced repetition (its own and
+#: extra ones): ``setup_s`` treats them as slots, like rounds.
+SETUPS_PER_REP = 5
 
 
 def _fov_repair(n: int, seed: int) -> ScenarioSpec:
@@ -59,7 +56,7 @@ def _fov_repair(n: int, seed: int) -> ScenarioSpec:
         backbone=f"synthetic-{n}",
         rebuild_policy="incremental",
         backend=BACKEND,
-        schedule=(SchedulePhase(EventKind.FOV_CHANGE, 0.0, base.duration_ms, 2 * n),),
+        schedule=(SchedulePhase(EventKind.FOV_CHANGE, 0.0, base.duration_ms, n),),
     )
 
 
@@ -81,34 +78,6 @@ def _chaos_restart(n: int, seed: int) -> ScenarioSpec:
     )
 
 
-def _large_session(n: int, seed: int) -> ScenarioSpec:
-    """The perf sweep's round-timing shape with sparse churn of every kind.
-
-    One control round per churn event, about sixty in all at N=1024.  Not
-    in ``BENCHMARK.json``: its 3-4 s set-ups and 130 ms rounds leave room
-    for only three repetitions in a run, too few for steady figures, so
-    it is run by hand to see set-up and per-round cost at scale.
-    """
-    churn = max(1, n // 200)
-    return ScenarioSpec(
-        name="large-session",
-        n_sites=n,
-        initial_active=n - 2 * churn,
-        duration_ms=1500.0,
-        seed=seed,
-        schedule=(
-            SchedulePhase(EventKind.FOV_CHANGE, 0.0, 1500.0, 8 * churn),
-            SchedulePhase(EventKind.LEAVE, 0.0, 1350.0, 2 * churn),
-            SchedulePhase(EventKind.JOIN, 150.0, 1500.0, 2 * churn),
-        ),
-        backbone=f"synthetic-{n}",
-        displays_per_site=1,
-        fov_size=2,
-        rebuild_policy="incremental",
-        backend=BACKEND,
-    )
-
-
 @dataclass(frozen=True)
 class Workload:
     """One benchmark workload: a scenario shape, its size and its checks."""
@@ -125,6 +94,8 @@ class Workload:
         return self.make_spec(self.tiny_sites if tiny else self.n_sites, seed)
 
 
+#: Sizes keep one repetition to 1-2 s, so that a run times every round
+#: often enough for its minimum to meet a moment the host was quiet.
 WORKLOADS: dict[str, Workload] = {
     workload.name: workload
     for workload in (
@@ -132,20 +103,14 @@ WORKLOADS: dict[str, Workload] = {
         Workload(
             "join-rebuild",
             _join_rebuild,
-            n_sites=96,
+            n_sites=64,
             tiny_sites=8,
             audit=False,
             dataplane=True,
         ),
-        Workload("chaos-restart", _chaos_restart, n_sites=64, tiny_sites=8, audit=True),
-        Workload("large-session", _large_session, n_sites=1024, tiny_sites=16, audit=False),
+        Workload("chaos-restart", _chaos_restart, n_sites=48, tiny_sites=8, audit=True),
     )
 }
-
-def instance_seed(seed: int, instance: int) -> int:
-    """Scenario seed of a run's ``instance``; instance 0 uses the run's seed."""
-    return seed if instance == 0 else seed * 1000 + instance
-
 
 #: (name, unit) of the simulated, per-seed deterministic results a run
 #: prints; the workloads they apply to fill them in.
