@@ -3,7 +3,7 @@
 Heterogeneous nodes, Zipf workload with FOV focus skew, N = 3..10.
 Paper expectation: CO-RJ beats RJ with the gap growing in N (a factor
 of 5 at N=10 in the paper; our substrate reproduces the direction and
-growth with a smaller factor — see EXPERIMENTS.md).
+growth with a smaller factor — see ``tele3d scorecard`` output).
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Sweeps Gran-LTF's granularity from 1 (== LTF) toward F (== RJ) and
 reports mean rejection per granularity.  The paper observes a generally
-decreasing curve; our reproduction finds a *flat* curve (documented in
-EXPERIMENTS.md), so the check here is only that the spectrum stays
-within a tight band around its endpoints rather than degrading.
+decreasing curve; our reproduction finds a *flat* curve (see the fig9
+claims in ``tele3d scorecard`` output), so the check here is only that
+the spectrum stays within a tight band around its endpoints rather than
+degrading.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ if [[ "${1:-}" == "--full" ]]; then
 
     echo
     echo "== audited high-churn scenario on the diffed-assembly path =="
+    # Incremental repair resolves the server's auto assembly to diffed.
     python -m repro.cli scenario run mixed-churn --sites 16 --seed 7 \
-        --rebuild-policy incremental --problem-assembly diffed \
-        --audit --strict
+        --rebuild-policy incremental --audit --strict
 
     echo
     echo "== chaos gate: 20%-lossy jittered join burst, zero unrecovered =="

@@ -47,12 +47,7 @@ from typing import Sequence
 
 from repro.core.backend import BACKEND_NAMES
 from repro.errors import Tele3DError
-from repro.util.validation import (
-    ASSEMBLY_POLICIES,
-    DELTA_SOURCES,
-    DRIFT_MODES,
-    REBUILD_POLICIES,
-)
+from repro.util.validation import REBUILD_POLICIES
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
@@ -138,27 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "from scratch (always), repair the surviving "
                                "forest (incremental), or repair under a "
                                "drift budget (hybrid)")
-    scen_run.add_argument("--problem-assembly", default=None,
-                          choices=ASSEMBLY_POLICIES,
-                          help="per-round problem assembly: evolve the "
-                               "previous round's problem (diffed), re-derive "
-                               "the dense tables from the session (scratch), "
-                               "or diffed whenever the rebuild policy is not "
-                               "'always' (auto, default)")
-    scen_run.add_argument("--delta-source", default=None,
-                          choices=DELTA_SOURCES,
-                          help="where diffed assembly gets the round's group "
-                               "delta: dirty-tracked registrations in "
-                               "O(churn) (dirty, default) or a full workload "
-                               "re-scan (scan); bit-identical")
-    scen_run.add_argument("--drift-mode", default=None,
-                          choices=DRIFT_MODES,
-                          help="hybrid drift guard: scratch-free estimator "
-                               "that only verifies when the accumulated "
-                               "repair drift crosses the budget (estimate, "
-                               "default) or a scratch solve every round "
-                               "(measure)")
-    scen_run.add_argument("--async-control", action="store_true",
+    scen_run.add_argument("--async-control", action="store_true", default=None,
                           help="replay the schedule through the event-driven "
                                "membership service (delayed control links, "
                                "debounced overlapping rounds) instead of one "
@@ -227,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--data-duplicate-rate", type=float, default=None,
                           help="probability a delivered frame is delivered "
                                "again (receivers de-duplicate by sequence)")
-    scen_run.add_argument("--data-nack", action="store_true",
+    scen_run.add_argument("--data-nack", action="store_true", default=None,
                           help="arm the NACK/repair layer: receivers detect "
                                "sequence gaps and request retransmission up "
                                "their dissemination tree")
@@ -501,6 +476,39 @@ def _parse_outage(text: str):
         raise SystemExit(2) from None
 
 
+#: ``scenario run`` override flags: argparse dest -> (ScenarioSpec field,
+#: whether setting it implies --async-control).  Control-link knobs need
+#: the event-driven service; the data-plane knobs run on their own
+#: simulator and do not.  A flag left unset (None) keeps the named
+#: scenario's own value.
+_SPEC_OVERRIDES = {
+    "algorithm": ("algorithm", False),
+    "rebuild_policy": ("rebuild_policy", False),
+    "backend": ("backend", False),
+    "async_control": ("async_control", True),
+    "control_delay_ms": ("control_delay_ms", True),
+    "debounce_ms": ("debounce_ms", True),
+    "loss_rate": ("loss_rate", True),
+    "jitter_ms": ("jitter_ms", True),
+    "duplicate_rate": ("duplicate_rate", True),
+    "partition": ("partitions", True),
+    "heartbeat_ms": ("heartbeat_ms", True),
+    "miss_threshold": ("miss_threshold", True),
+    "retransmit_timeout_ms": ("retransmit_timeout_ms", True),
+    "server_outage": ("server_outages", True),
+    "phi_threshold": ("phi_threshold", True),
+    "checkpoint_interval_ms": ("checkpoint_interval_ms", True),
+    "data_loss_rate": ("data_loss_rate", False),
+    "data_jitter_ms": ("data_jitter_ms", False),
+    "data_duplicate_rate": ("data_duplicate_rate", False),
+    "data_nack": ("data_nack", False),
+    "data_max_repair_attempts": ("data_max_repair_attempts", False),
+    "data_repair_deadline_factor": ("data_repair_deadline_factor", False),
+}
+#: Repeatable window flags and the parser of each raw argument.
+_WINDOW_PARSERS = {"partition": _parse_partition, "server_outage": _parse_outage}
+
+
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Dispatch ``scenario run`` / ``scenario list``."""
     from repro.scenarios import (
@@ -516,135 +524,17 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             print(spec.describe())
         return 0
     spec = get_scenario(args.name, sites=args.sites, seed=args.seed)
-    if args.algorithm:
-        spec = replace(spec, algorithm=args.algorithm)
-    if args.rebuild_policy:
-        spec = replace(spec, rebuild_policy=args.rebuild_policy)
-    if args.problem_assembly:
-        spec = replace(spec, problem_assembly=args.problem_assembly)
-    if args.delta_source:
-        spec = replace(spec, delta_source=args.delta_source)
-    if args.drift_mode:
-        spec = replace(spec, drift_mode=args.drift_mode)
-    if args.backend:
-        spec = replace(spec, backend=args.backend)
-    chaos_overrides = (
-        args.loss_rate,
-        args.jitter_ms,
-        args.duplicate_rate,
-        args.partition,
-        args.heartbeat_ms,
-        args.miss_threshold,
-        args.retransmit_timeout_ms,
-        args.server_outage,
-        args.phi_threshold,
-        args.checkpoint_interval_ms,
-    )
-    if (
-        args.async_control
-        or args.control_delay_ms is not None
-        or args.debounce_ms is not None
-        or any(value is not None for value in chaos_overrides)
-    ):
-        spec = replace(
-            spec,
-            async_control=True,
-            control_delay_ms=(
-                args.control_delay_ms
-                if args.control_delay_ms is not None
-                else spec.control_delay_ms
-            ),
-            debounce_ms=(
-                args.debounce_ms
-                if args.debounce_ms is not None
-                else spec.debounce_ms
-            ),
-            loss_rate=(
-                args.loss_rate if args.loss_rate is not None else spec.loss_rate
-            ),
-            jitter_ms=(
-                args.jitter_ms if args.jitter_ms is not None else spec.jitter_ms
-            ),
-            duplicate_rate=(
-                args.duplicate_rate
-                if args.duplicate_rate is not None
-                else spec.duplicate_rate
-            ),
-            partitions=(
-                tuple(_parse_partition(text) for text in args.partition)
-                if args.partition is not None
-                else spec.partitions
-            ),
-            heartbeat_ms=(
-                args.heartbeat_ms
-                if args.heartbeat_ms is not None
-                else spec.heartbeat_ms
-            ),
-            miss_threshold=(
-                args.miss_threshold
-                if args.miss_threshold is not None
-                else spec.miss_threshold
-            ),
-            retransmit_timeout_ms=(
-                args.retransmit_timeout_ms
-                if args.retransmit_timeout_ms is not None
-                else spec.retransmit_timeout_ms
-            ),
-            server_outages=(
-                tuple(_parse_outage(text) for text in args.server_outage)
-                if args.server_outage is not None
-                else spec.server_outages
-            ),
-            phi_threshold=(
-                args.phi_threshold
-                if args.phi_threshold is not None
-                else spec.phi_threshold
-            ),
-            checkpoint_interval_ms=(
-                args.checkpoint_interval_ms
-                if args.checkpoint_interval_ms is not None
-                else spec.checkpoint_interval_ms
-            ),
-        )
-    # Data-plane chaos overrides live on their own simulator, so they do
-    # NOT imply --async-control (unlike the control-chaos block above).
-    if (
-        args.data_loss_rate is not None
-        or args.data_jitter_ms is not None
-        or args.data_duplicate_rate is not None
-        or args.data_nack
-        or args.data_max_repair_attempts is not None
-        or args.data_repair_deadline_factor is not None
-    ):
-        spec = replace(
-            spec,
-            data_loss_rate=(
-                args.data_loss_rate
-                if args.data_loss_rate is not None
-                else spec.data_loss_rate
-            ),
-            data_jitter_ms=(
-                args.data_jitter_ms
-                if args.data_jitter_ms is not None
-                else spec.data_jitter_ms
-            ),
-            data_duplicate_rate=(
-                args.data_duplicate_rate
-                if args.data_duplicate_rate is not None
-                else spec.data_duplicate_rate
-            ),
-            data_nack=args.data_nack or spec.data_nack,
-            data_max_repair_attempts=(
-                args.data_max_repair_attempts
-                if args.data_max_repair_attempts is not None
-                else spec.data_max_repair_attempts
-            ),
-            data_repair_deadline_factor=(
-                args.data_repair_deadline_factor
-                if args.data_repair_deadline_factor is not None
-                else spec.data_repair_deadline_factor
-            ),
-        )
+    overrides = {}
+    for dest, (field, implies_async) in _SPEC_OVERRIDES.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if dest in _WINDOW_PARSERS:
+            value = tuple(_WINDOW_PARSERS[dest](text) for text in value)
+        overrides[field] = value
+        if implies_async:
+            overrides["async_control"] = True
+    spec = replace(spec, **overrides)
     report = run_scenario(
         spec, audit=args.audit, strict=args.strict, dataplane=args.dataplane
     )

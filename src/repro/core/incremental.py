@@ -20,9 +20,9 @@ needs between full re-solves:
   new or orphaned requests run through a join — so satisfied users are
   not disturbed by unrelated churn.
 
-The :data:`REBUILD_POLICIES` threaded through ``TISession``,
-``MembershipServer`` and ``ScenarioRuntime`` pick between repair and
-re-solve:
+The :data:`REBUILD_POLICIES` a ``MembershipServer`` (and the
+``ScenarioSpec`` that configures one) runs under pick between repair
+and re-solve:
 
 * ``"always"`` — the paper's model: re-solve from scratch every round;
 * ``"incremental"`` — repair every round, falling back to a scratch

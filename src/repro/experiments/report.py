@@ -34,7 +34,7 @@ def markdown_section(
     x_name: str,
     observations: str = "",
 ) -> str:
-    """One EXPERIMENTS.md section: expectation, data table, observations."""
+    """One markdown report section: expectation, data table, observations."""
     lines = [f"### {heading}", "", f"**Paper expectation.** {expectation}", ""]
     lines.append("```")
     lines.append(series_table(result, x_name))

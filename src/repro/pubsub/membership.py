@@ -27,6 +27,11 @@ rebuild policy is not ``"always"`` — so incremental rounds stop paying
 the per-round O(N²) the paper's always-rebuild model pays.  Diffed and
 scratch assembly are equivalent (bit-identical build results); per-mode
 counts are tracked for reporting.
+
+``problem_assembly``, ``delta_source`` and ``drift_mode`` are reference
+modes of this server alone: the defaults are the fast paths, and the
+equivalence suites set the other values on a runtime's server to pin
+those fast paths bit-identical against their references.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.errors import ProtocolError, SubscriptionError
+from repro.errors import ConfigurationError, ProtocolError, SubscriptionError
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.incremental import (
@@ -50,13 +55,35 @@ from repro.pubsub.messages import Advertisement, OverlayDirective, SiteSubscript
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from repro.util.validation import (
-    check_assembly_policy,
-    check_delta_source,
-    check_drift_mode,
-    check_non_negative,
-)
+from repro.util.validation import check_non_negative
 from repro.workload.spec import SubscriptionWorkload
+
+
+#: How each round's :class:`ForestProblem` is assembled: ``scratch``
+#: re-derives the dense cost/limit tables from the session (O(N²), the
+#: paper's model); ``diffed`` evolves the previous round's problem;
+#: ``auto`` picks ``diffed`` whenever the rebuild policy is not
+#: ``always``.  Forcing either is a reference mode for the equivalence
+#: suites.
+ASSEMBLY_POLICIES = ("auto", "diffed", "scratch")
+
+#: Where diffed assembly gets its group delta: ``dirty`` derives it from
+#: the dirty-tracked registrations in O(churn); ``scan`` re-walks the
+#: global workload and is the bit-identical reference path.
+DELTA_SOURCES = ("dirty", "scan")
+
+#: How hybrid measures drift: ``estimate`` accumulates repair deltas and
+#: only verifies against a scratch solve when the estimate crosses the
+#: budget (or a repair carries rejections); ``measure`` solves from
+#: scratch every round and is the bit-identical reference path.
+DRIFT_MODES = ("estimate", "measure")
+
+
+def _check_mode(name: str, value: str, known: tuple[str, ...]) -> None:
+    if value not in known:
+        raise ConfigurationError(
+            f"unknown {name} {value!r}; expected one of: {', '.join(known)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,27 +120,18 @@ class MembershipServer:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy; ``None`` adopts the session's default.
-    rebuild_policy: str | None = None
-    #: Per-round problem assembly ("auto" | "diffed" | "scratch");
-    #: ``None`` adopts the session's default.
-    problem_assembly: str | None = None
+    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    rebuild_policy: str = "always"
+    #: Per-round problem assembly; see :data:`ASSEMBLY_POLICIES`.
+    problem_assembly: str = "auto"
     #: Hybrid-mode quality budget: the repaired forest may cost at most
     #: ``(1 + drift_budget)`` times the scratch solution of the round.
     drift_budget: float = DEFAULT_DRIFT_BUDGET
-    #: Where diffed assembly gets its per-round group delta ("dirty" |
-    #: "scan"); ``None`` adopts the session's default.  ``dirty``
-    #: derives it from the dirty-tracked registration indices in
-    #: O(churn); ``scan`` re-walks the global workload (the equivalence
-    #: baseline).
-    delta_source: str | None = None
-    #: How hybrid measures drift ("estimate" | "measure"); ``None``
-    #: adopts the session's default.  ``measure`` solves from scratch
-    #: every round (the original guard); ``estimate`` stays scratch-free
-    #: until the accumulated repair-delta estimate crosses the budget or
-    #: the repair carries rejections, then verifies with a real scratch
-    #: solve.
-    drift_mode: str | None = None
+    #: Where diffed assembly gets its per-round group delta; see
+    #: :data:`DELTA_SOURCES`.
+    delta_source: str = "dirty"
+    #: How hybrid measures drift; see :data:`DRIFT_MODES`.
+    drift_mode: str = "estimate"
     _advertised: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     _subscriptions: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     #: Advertiser count per stream — a stream is *available* (its groups
@@ -142,18 +160,10 @@ class MembershipServer:
     _verifications: int = 0
 
     def __post_init__(self) -> None:
-        if self.rebuild_policy is None:
-            self.rebuild_policy = self.session.rebuild_policy
         validate_rebuild_policy(self.rebuild_policy)
-        if self.problem_assembly is None:
-            self.problem_assembly = self.session.problem_assembly
-        check_assembly_policy(self.problem_assembly)
-        if self.delta_source is None:
-            self.delta_source = self.session.delta_source
-        check_delta_source(self.delta_source)
-        if self.drift_mode is None:
-            self.drift_mode = self.session.drift_mode
-        check_drift_mode(self.drift_mode)
+        _check_mode("problem assembly", self.problem_assembly, ASSEMBLY_POLICIES)
+        _check_mode("delta source", self.delta_source, DELTA_SOURCES)
+        _check_mode("drift mode", self.drift_mode, DRIFT_MODES)
         check_non_negative("drift_budget", self.drift_budget)
         # Repair joins mirror the configured builder: same parent
         # policy, and the CO-RJ victim swap only when the builder itself

@@ -212,8 +212,8 @@ class MembershipService:
         synchronous scenario path uses, which is what makes the
         zero-delay case bit-identical.
     control_delay_ms / debounce_ms:
-        One-way link delay and dirty-state coalescing window; ``None``
-        resolves against the session's defaults.
+        One-way link delay and dirty-state coalescing window (0/0 = the
+        synchronous degenerate case).
     site_delays:
         Optional per-site delay overrides (read at send time, so tests
         can skew links mid-run to force out-of-order delivery).
@@ -222,34 +222,29 @@ class MembershipService:
         directive delivery lands, against the sites actually holding
         that epoch.
     faults:
-        Control-link fault model; ``None`` builds one from the
-        session's ``control_loss_rate``/``control_jitter_ms`` defaults
-        (a perfect link unless configured otherwise).
+        Control-link fault model (default: a perfect link).
     chaos_rng:
         Stream feeding the link's loss/jitter/duplication draws;
         ``None`` derives ``build_rng.spawn("chaos-link")`` (spawning is
         stateless, so the derivation cannot perturb the build streams).
     heartbeat_ms / miss_threshold:
         Heartbeat period and missed-beat budget of the failure
-        detector; ``None`` resolves against the session.  0 disables
-        detection entirely.
+        detector.  0 disables detection entirely.
     retransmit_timeout_ms:
         Ack timeout arming the retransmit machinery for reports and
-        directive pushes; ``None`` resolves against the session, 0
-        keeps the legacy fire-and-forget transport (no acks at all).
+        directive pushes; 0 keeps the legacy fire-and-forget
+        transport (no acks at all).
     max_retransmits:
         Attempts after the original send before giving up.
     phi_threshold:
         φ-accrual suspicion threshold (see
-        :class:`~repro.pubsub.detector.PhiAccrualDetector`); ``None``
-        resolves against the session, 0 keeps the static
-        ``miss_threshold x heartbeat_ms`` deadline.  Requires
+        :class:`~repro.pubsub.detector.PhiAccrualDetector`); 0 keeps
+        the static ``miss_threshold x heartbeat_ms`` deadline.  Requires
         heartbeats to have a cadence to score.
     checkpoint_interval_ms:
-        Period of the server's durable soft-state checkpoint; ``None``
-        resolves against the session, 0 disables checkpointing (a
-        crashed server restarts cold and rebuilds purely from the
-        sites' refresh).
+        Period of the server's durable soft-state checkpoint; 0
+        disables checkpointing (a crashed server restarts cold and
+        rebuilds purely from the sites' refresh).
     server_failover:
         Arms the client-side half of server crash tolerance: heartbeat
         responses, server suspicion, report parking/replay.  ``None``
@@ -263,40 +258,20 @@ class MembershipService:
         server: MembershipServer,
         rps: Mapping[int, RPAgent],
         build_rng: RngStream,
-        control_delay_ms: float | None = None,
-        debounce_ms: float | None = None,
+        control_delay_ms: float = 0.0,
+        debounce_ms: float = 0.0,
         site_delays: Mapping[int, float] | None = None,
         auditor: "InvariantAuditor | None" = None,
-        faults: FaultConfig | None = None,
+        faults: FaultConfig = FaultConfig(),
         chaos_rng: RngStream | None = None,
-        heartbeat_ms: float | None = None,
-        miss_threshold: int | None = None,
-        retransmit_timeout_ms: float | None = None,
+        heartbeat_ms: float = 0.0,
+        miss_threshold: int = 3,
+        retransmit_timeout_ms: float = 0.0,
         max_retransmits: int = DEFAULT_MAX_RETRANSMITS,
-        phi_threshold: float | None = None,
-        checkpoint_interval_ms: float | None = None,
+        phi_threshold: float = 0.0,
+        checkpoint_interval_ms: float = 0.0,
         server_failover: bool | None = None,
     ) -> None:
-        session = server.session
-        if control_delay_ms is None:
-            control_delay_ms = session.control_delay_ms
-        if debounce_ms is None:
-            debounce_ms = session.debounce_ms
-        if heartbeat_ms is None:
-            heartbeat_ms = session.heartbeat_ms
-        if miss_threshold is None:
-            miss_threshold = session.miss_threshold
-        if retransmit_timeout_ms is None:
-            retransmit_timeout_ms = session.retransmit_timeout_ms
-        if phi_threshold is None:
-            phi_threshold = session.phi_threshold
-        if checkpoint_interval_ms is None:
-            checkpoint_interval_ms = session.checkpoint_interval_ms
-        if faults is None:
-            faults = FaultConfig(
-                loss_rate=session.control_loss_rate,
-                jitter_ms=session.control_jitter_ms,
-            )
         if server_failover is None:
             server_failover = bool(faults.outages)
         check_non_negative("control_delay_ms", control_delay_ms)

@@ -6,9 +6,8 @@ complete control rounds.  Display subscriptions can be given either as
 explicit stream sets or as geometric FOVs resolved through the ViewCast
 selector — the two subscription forms of Sec. 3.2.
 
-Rounds are synchronous here (the paper's model);
-:meth:`PubSubSystem.async_service` lifts the same server and RPs onto a
-simulator as an event-driven :class:`~repro.pubsub.service.MembershipService`
+Rounds are synchronous here (the paper's model); hand the same
+``server`` and ``rps`` to a :class:`~repro.pubsub.service.MembershipService`
 when control latency, debouncing and overlapping rounds matter.
 Registration is dirty-tracked server-side, so the per-round full
 re-report below only costs on sites whose state actually changed
@@ -38,17 +37,8 @@ class PubSubSystem:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy; ``None`` adopts the session's default.
-    rebuild_policy: str | None = None
-    #: Per-round problem assembly ("auto" | "diffed" | "scratch");
-    #: ``None`` adopts the session's default.
-    problem_assembly: str | None = None
-    #: Group-delta source for diffed assembly ("dirty" | "scan");
-    #: ``None`` adopts the session's default.
-    delta_source: str | None = None
-    #: Hybrid drift mode ("estimate" | "measure"); ``None`` adopts the
-    #: session's default.
-    drift_mode: str | None = None
+    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    rebuild_policy: str = "always"
     rps: dict[int, RPAgent] = field(default_factory=dict)
     server: MembershipServer = field(init=False)
 
@@ -62,9 +52,6 @@ class PubSubSystem:
             builder=self.builder,
             latency_bound_ms=self.latency_bound_ms,
             rebuild_policy=self.rebuild_policy,
-            problem_assembly=self.problem_assembly,
-            delta_source=self.delta_source,
-            drift_mode=self.drift_mode,
         )
 
     # -- subscription entry points --------------------------------------------------
@@ -118,55 +105,6 @@ class PubSubSystem:
         for rp in self.rps.values():
             rp.apply_directive(directive)
         return directive
-
-    # -- event-driven control ----------------------------------------------------------
-
-    def async_service(
-        self,
-        sim,
-        build_rng: RngStream,
-        control_delay_ms: float | None = None,
-        debounce_ms: float | None = None,
-        site_delays: dict[int, float] | None = None,
-        auditor=None,
-        faults=None,
-        chaos_rng: RngStream | None = None,
-        heartbeat_ms: float | None = None,
-        miss_threshold: int | None = None,
-        retransmit_timeout_ms: float | None = None,
-        phi_threshold: float | None = None,
-        checkpoint_interval_ms: float | None = None,
-        server_failover: bool | None = None,
-    ):
-        """Attach this system's server and RPs to an event-driven service.
-
-        Returns a :class:`~repro.pubsub.service.MembershipService` on
-        ``sim``; delay/debounce — and the chaos knobs (fault model,
-        heartbeat detection, retransmission) — default to the session's
-        values.  The synchronous :meth:`run_control_round` and the
-        service share one server, so don't interleave the two control
-        styles in one run.
-        """
-        from repro.pubsub.service import MembershipService
-
-        return MembershipService(
-            sim=sim,
-            server=self.server,
-            rps=self.rps,
-            build_rng=build_rng,
-            control_delay_ms=control_delay_ms,
-            debounce_ms=debounce_ms,
-            site_delays=site_delays,
-            auditor=auditor,
-            faults=faults,
-            chaos_rng=chaos_rng,
-            heartbeat_ms=heartbeat_ms,
-            miss_threshold=miss_threshold,
-            retransmit_timeout_ms=retransmit_timeout_ms,
-            phi_threshold=phi_threshold,
-            checkpoint_interval_ms=checkpoint_interval_ms,
-            server_failover=server_failover,
-        )
 
     # -- inspection --------------------------------------------------------------------
 

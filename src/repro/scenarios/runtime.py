@@ -53,7 +53,6 @@ class ScenarioReport:
     n_sites: int
     duration_ms: float
     rebuild_policy: str = "always"
-    problem_assembly: str = "auto"
     rounds: int = 0
     events: dict[str, int] = field(default_factory=dict)
     skipped_events: int = 0
@@ -201,8 +200,7 @@ class ScenarioReport:
             f"overlay maintenance [{self.rebuild_policy}]: {self.repairs} "
             f"repairs, {self.rebuilds} rebuilds, mean disruption "
             f"{self.mean_disruption:.3f}",
-            f"problem assembly [{self.problem_assembly}]: "
-            f"{self.assemblies_diffed} diffed, "
+            f"problem assembly: {self.assemblies_diffed} diffed, "
             f"{self.assemblies_scratch} scratch",
         ]
         if self.async_control:
@@ -315,9 +313,6 @@ class ScenarioRuntime:
             builder=make_builder(spec.algorithm),
             latency_bound_ms=spec.latency_bound_ms,
             rebuild_policy=spec.rebuild_policy,
-            problem_assembly=spec.problem_assembly,
-            delta_source=spec.delta_source,
-            drift_mode=spec.drift_mode,
         )
         self.active: set[int] = set()
         #: Flat, site-ordered list of every active site's published
@@ -330,7 +325,6 @@ class ScenarioRuntime:
             n_sites=spec.n_sites,
             duration_ms=spec.duration_ms,
             rebuild_policy=spec.rebuild_policy,
-            problem_assembly=spec.problem_assembly,
         )
         self._build_rng = self.rng.spawn("build")
         self._workload_rng = self.rng.spawn("workload")
@@ -386,22 +380,6 @@ class ScenarioRuntime:
             SessionConfig(
                 n_sites=spec.n_sites,
                 displays_per_site=spec.displays_per_site,
-                rebuild_policy=spec.rebuild_policy,
-                problem_assembly=spec.problem_assembly,
-                delta_source=spec.delta_source,
-                drift_mode=spec.drift_mode,
-                control_delay_ms=spec.control_delay_ms,
-                debounce_ms=spec.debounce_ms,
-                control_loss_rate=spec.loss_rate,
-                control_jitter_ms=spec.jitter_ms,
-                heartbeat_ms=spec.heartbeat_ms,
-                miss_threshold=spec.miss_threshold,
-                retransmit_timeout_ms=spec.retransmit_timeout_ms,
-                phi_threshold=spec.phi_threshold,
-                checkpoint_interval_ms=spec.checkpoint_interval_ms,
-                data_loss_rate=spec.data_loss_rate,
-                data_jitter_ms=spec.data_jitter_ms,
-                data_duplicate_rate=spec.data_duplicate_rate,
                 backend=spec.backend,
             ),
         )

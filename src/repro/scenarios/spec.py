@@ -26,10 +26,7 @@ from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
 from repro.util.rng import RngStream
 from repro.util.validation import (
-    check_assembly_policy,
-    check_delta_source,
     check_disjoint_windows,
-    check_drift_mode,
     check_finite_non_negative,
     check_non_negative,
     check_phi_threshold,
@@ -108,24 +105,6 @@ class ScenarioSpec:
         ``incremental`` (repair the surviving forest) or ``hybrid``
         (repair under a drift budget); see
         :mod:`repro.core.incremental`.
-    problem_assembly:
-        How each round's :class:`~repro.core.problem.ForestProblem` is
-        assembled: ``scratch`` re-derives the dense cost/limit tables
-        from the session (O(N²) per round), ``diffed`` evolves the
-        previous round's problem patching only the changed groups, and
-        ``auto`` (default) uses diffed whenever ``rebuild_policy`` is
-        not ``always``.
-    delta_source:
-        Where diffed assembly gets its per-round group delta:
-        ``dirty`` (default) derives it from the membership server's
-        dirty-tracked registrations in O(churn); ``scan`` re-walks the
-        global workload (the equivalence baseline).  Bit-identical.
-    drift_mode:
-        How the ``hybrid`` rebuild policy measures drift: ``estimate``
-        (default) stays scratch-free until the accumulated repair-delta
-        estimate crosses the budget or a repair carries rejections;
-        ``measure`` solves from scratch every round (the original
-        guard).
     async_control:
         Replay the schedule through the event-driven
         :class:`~repro.pubsub.service.MembershipService` instead of
@@ -195,9 +174,6 @@ class ScenarioSpec:
     schedule: tuple[SchedulePhase, ...] = field(default_factory=tuple)
     algorithm: str = "rj"
     rebuild_policy: str = "always"
-    problem_assembly: str = "auto"
-    delta_source: str = "dirty"
-    drift_mode: str = "estimate"
     nodes: str = "uniform"
     backbone: str = "tier1"
     latency_bound_ms: float = 120.0
@@ -240,9 +216,6 @@ class ScenarioSpec:
                 f"duration_ms must be positive, got {self.duration_ms}"
             )
         check_rebuild_policy(self.rebuild_policy)
-        check_assembly_policy(self.problem_assembly)
-        check_delta_source(self.delta_source)
-        check_drift_mode(self.drift_mode)
         # Local import: repro.core.backend sits under the core package,
         # whose __init__ indirectly imports session/scenario modules.
         from repro.core.backend import check_backend_name
@@ -369,11 +342,6 @@ class ScenarioSpec:
         policy = (
             "" if self.rebuild_policy == "always" else f" policy={self.rebuild_policy}"
         )
-        assembly = (
-            ""
-            if self.problem_assembly == "auto"
-            else f" assembly={self.problem_assembly}"
-        )
         control = (
             f" async(delay={self.control_delay_ms:.0f}ms,"
             f"debounce={self.debounce_ms:.0f}ms)"
@@ -416,5 +384,5 @@ class ScenarioSpec:
         return (
             f"{self.name}: pool={self.n_sites} start={self.initial_active} "
             f"{self.duration_ms:.0f}ms [{mix or 'static'}] alg={self.algorithm}"
-            f"{policy}{assembly}{control}{chaos}"
+            f"{policy}{control}{chaos}"
         )

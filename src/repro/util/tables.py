@@ -2,7 +2,8 @@
 
 The benchmark harness prints the same rows/series the paper reports; this
 module renders them as aligned ASCII tables so the output is readable in a
-terminal and diffable in EXPERIMENTS.md.
+terminal and diffable as plain text (``tele3d fig8`` .. ``fig11`` print
+them).
 """
 
 from __future__ import annotations

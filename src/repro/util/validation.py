@@ -59,9 +59,9 @@ def check_at_least(name: str, value: int, minimum: int) -> int:
 
 
 #: Overlay maintenance policies a control plane can run under (lives
-#: here, below both the session and core layers, so every layer can
-#: validate the knob without import cycles; the semantics are documented
-#: in :mod:`repro.core.incremental`).
+#: here, below the core and scenario layers, so every layer can validate
+#: the knob without import cycles; the semantics are documented in
+#: :mod:`repro.core.incremental`).
 REBUILD_POLICIES = ("always", "incremental", "hybrid")
 
 
@@ -71,64 +71,6 @@ def check_rebuild_policy(value: str) -> str:
         known = ", ".join(REBUILD_POLICIES)
         raise ConfigurationError(
             f"unknown rebuild policy {value!r}; expected one of: {known}"
-        )
-    return value
-
-
-#: How a control plane assembles each round's :class:`ForestProblem`:
-#: ``scratch`` rebuilds the dense cost/limit tables from the session
-#: every round (O(N²), the paper's model); ``diffed`` evolves the
-#: previous round's problem via :meth:`ForestProblem.evolve`, patching
-#: only the changed groups; ``auto`` picks ``diffed`` whenever the
-#: rebuild policy is not ``always``.
-ASSEMBLY_POLICIES = ("auto", "diffed", "scratch")
-
-
-def check_assembly_policy(value: str) -> str:
-    """Require a known problem-assembly policy; return it for chaining."""
-    if value not in ASSEMBLY_POLICIES:
-        known = ", ".join(ASSEMBLY_POLICIES)
-        raise ConfigurationError(
-            f"unknown problem-assembly policy {value!r}; "
-            f"expected one of: {known}"
-        )
-    return value
-
-
-#: Where diffed assembly gets its per-round group delta from: ``dirty``
-#: derives it from the membership server's dirty-tracked registrations
-#: (O(churn) per round, never walks the workload); ``scan`` re-derives
-#: the global workload and diffs its groups (O(requests) per round, the
-#: pre-PR-9 behavior).  Both produce bit-identical problems; ``scan``
-#: exists as the equivalence baseline.
-DELTA_SOURCES = ("dirty", "scan")
-
-
-def check_delta_source(value: str) -> str:
-    """Require a known delta source; return it for chaining."""
-    if value not in DELTA_SOURCES:
-        known = ", ".join(DELTA_SOURCES)
-        raise ConfigurationError(
-            f"unknown delta source {value!r}; expected one of: {known}"
-        )
-    return value
-
-
-#: How the hybrid rebuild policy measures drift: ``measure`` solves from
-#: scratch every round and compares (the original guard, O(build) per
-#: round); ``estimate`` accumulates a drift estimate from repair deltas
-#: and only solves from scratch to verify when the estimate crosses the
-#: budget (or the repair carries rejections) — scratch-free between
-#: verifications.
-DRIFT_MODES = ("estimate", "measure")
-
-
-def check_drift_mode(value: str) -> str:
-    """Require a known hybrid drift mode; return it for chaining."""
-    if value not in DRIFT_MODES:
-        known = ", ".join(DRIFT_MODES)
-        raise ConfigurationError(
-            f"unknown drift mode {value!r}; expected one of: {known}"
         )
     return value
 

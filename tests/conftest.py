@@ -81,3 +81,22 @@ def complete_cost(n: int, off_diagonal: float = 1.0) -> dict[int, dict[int, floa
         i: {j: (0.0 if i == j else off_diagonal) for j in range(n)}
         for i in range(n)
     }
+
+
+def reference_runtime(spec, **modes):
+    """A :class:`ScenarioRuntime` whose server runs the given reference modes.
+
+    ``modes`` are :class:`~repro.pubsub.membership.MembershipServer`
+    fields (``problem_assembly``, ``delta_source``, ``drift_mode``) that
+    select the reference paths the equivalence suites pin the fast paths
+    against.  They are set on ``runtime.server`` before :meth:`run`; the
+    constructor runs no round, so every round sees them.
+    """
+    from repro.scenarios.runtime import ScenarioRuntime
+
+    runtime = ScenarioRuntime(spec)
+    for name, value in modes.items():
+        if not hasattr(runtime.server, name):
+            raise AttributeError(f"MembershipServer has no mode {name!r}")
+        setattr(runtime.server, name, value)
+    return runtime

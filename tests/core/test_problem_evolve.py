@@ -16,8 +16,10 @@ import pytest
 
 from repro.core.model import MulticastGroup
 from repro.core.problem import ForestProblem, ProblemDelta
+from repro.core.randomized import RandomJoinBuilder
 from repro.core.registry import make_builder
 from repro.errors import ConfigurationError, SubscriptionError
+from repro.pubsub.membership import MembershipServer
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.session.capacity import UniformCapacityModel
@@ -26,6 +28,7 @@ from repro.session.streams import StreamId
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.spec import SubscriptionWorkload
+from tests.conftest import reference_runtime
 
 
 def make_session(n_sites: int = 8, seed: int = 3):
@@ -247,8 +250,8 @@ class TestScenarioEquivalenceMatrix:
             algorithm=algorithm,
             rebuild_policy="incremental",
         )
-        diffed_rt = ScenarioRuntime(replace(base, problem_assembly="diffed"))
-        scratch_rt = ScenarioRuntime(replace(base, problem_assembly="scratch"))
+        diffed_rt = reference_runtime(base, problem_assembly="diffed")
+        scratch_rt = reference_runtime(base, problem_assembly="scratch")
         diffed = diffed_rt.run()
         scratch = scratch_rt.run()
         assert diffed_rt.directives == scratch_rt.directives
@@ -276,7 +279,7 @@ class TestAssemblyPolicyPlumbing:
 
     def test_diffed_forced_under_always_is_equivalent(self):
         spec = get_scenario("mass-leave", sites=6, seed=13)
-        diffed_rt = ScenarioRuntime(replace(spec, problem_assembly="diffed"))
+        diffed_rt = reference_runtime(spec, problem_assembly="diffed")
         scratch_rt = ScenarioRuntime(spec)
         diffed = diffed_rt.run()
         scratch = scratch_rt.run()
@@ -284,10 +287,11 @@ class TestAssemblyPolicyPlumbing:
         assert diffed.audit.digest == scratch.audit.digest
         assert diffed.assemblies_diffed == diffed.rounds - 1
 
-    def test_unknown_assembly_policy_rejected(self):
+    def test_unknown_assembly_policy_rejected(self, small_session):
         with pytest.raises(ConfigurationError):
-            replace(
-                get_scenario("fov-thrash", sites=4, seed=1),
+            MembershipServer(
+                session=small_session,
+                builder=RandomJoinBuilder(),
                 problem_assembly="bogus",
             )
 
@@ -297,5 +301,5 @@ class TestAssemblyPolicyPlumbing:
             rebuild_policy="incremental",
         )
         report = ScenarioRuntime(spec, audit=False).run()
-        assert "problem assembly [auto]" in report.summary()
+        assert "problem assembly:" in report.summary()
         assert f"{report.assemblies_diffed} diffed" in report.summary()

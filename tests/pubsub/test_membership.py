@@ -276,13 +276,6 @@ class TestRebuildPolicy:
                 drift_budget=-0.5,
             )
 
-    def test_policy_defaults_to_session(self, small_session):
-        small_session.rebuild_policy = "incremental"
-        server = MembershipServer(
-            session=small_session, builder=RandomJoinBuilder()
-        )
-        assert server.rebuild_policy == "incremental"
-
     def test_always_policy_only_rebuilds(self, small_session):
         server = self.make_server(small_session, "always")
         self.subscribe(server, small_session)
@@ -338,7 +331,7 @@ class TestRebuildPolicy:
 
 
 class TestProblemAssembly:
-    def make_server(self, session, policy: str, assembly=None) -> MembershipServer:
+    def make_server(self, session, policy: str, assembly="auto") -> MembershipServer:
         return MembershipServer(
             session=session,
             builder=RandomJoinBuilder(),
@@ -361,10 +354,6 @@ class TestProblemAssembly:
     def test_unknown_assembly_rejected(self, small_session):
         with pytest.raises(ConfigurationError):
             self.make_server(small_session, "always", "lazy")
-
-    def test_assembly_defaults_to_session(self, small_session):
-        server = self.make_server(small_session, "always")
-        assert server.problem_assembly == "auto"
 
     def test_auto_under_always_stays_scratch(self, small_session):
         server = self.make_server(small_session, "always")

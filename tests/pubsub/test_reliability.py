@@ -31,9 +31,11 @@ def make_chaos_service(
 ) -> tuple[PubSubSystem, MembershipService, Simulator]:
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
-    service = system.async_service(
-        sim,
-        RngStream(5, label="reliability-test"),
+    service = MembershipService(
+        sim=sim,
+        server=system.server,
+        rps=system.rps,
+        build_rng=RngStream(5, label="reliability-test"),
         control_delay_ms=control_delay_ms,
         debounce_ms=debounce_ms,
         faults=faults or FaultConfig(),

@@ -20,12 +20,19 @@ def make_service(
     debounce_ms: float = 0.0,
     site_delays: dict[int, float] | None = None,
     auditor: InvariantAuditor | None = None,
+    rebuild_policy: str = "always",
 ) -> tuple[PubSubSystem, MembershipService, Simulator]:
-    system = PubSubSystem(session=session, builder=RandomJoinBuilder())
+    system = PubSubSystem(
+        session=session,
+        builder=RandomJoinBuilder(),
+        rebuild_policy=rebuild_policy,
+    )
     sim = Simulator()
-    service = system.async_service(
-        sim,
-        RngStream(5, label="service-test"),
+    service = MembershipService(
+        sim=sim,
+        server=system.server,
+        rps=system.rps,
+        build_rng=RngStream(5, label="service-test"),
         control_delay_ms=control_delay_ms,
         debounce_ms=debounce_ms,
         site_delays=site_delays,
@@ -155,15 +162,6 @@ class TestControlDelay:
         assert round_.convergence_ms == 50.0
         assert all(time == 70.0 for time in round_.acked.values())
 
-    def test_session_defaults_resolve(self, small_session):
-        small_session.control_delay_ms = 7.0
-        small_session.debounce_ms = 3.0
-        _, service, _ = make_service(
-            small_session, control_delay_ms=None, debounce_ms=None
-        )
-        assert service.control_delay_ms == 7.0
-        assert service.debounce_ms == 3.0
-
     def test_negative_delay_rejected(self, small_session):
         from repro.errors import ConfigurationError
 
@@ -254,8 +252,9 @@ class TestAssemblyThroughService:
     """The async plane shares the server, hence the evolved problem."""
 
     def test_rounds_record_assembly_mode(self, small_session):
-        small_session.rebuild_policy = "incremental"
-        system, service, sim = make_service(small_session)
+        system, service, sim = make_service(
+            small_session, rebuild_policy="incremental"
+        )
         system.subscribe_display(
             0, "disp-0-0", list(small_session.site(1).stream_ids)[:2]
         )

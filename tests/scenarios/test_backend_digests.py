@@ -19,7 +19,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.backend import numpy_available
-from repro.scenarios import get_scenario, run_scenario, scenario_names
+from repro.scenarios import get_scenario, scenario_names
+from tests.conftest import reference_runtime
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -35,14 +36,17 @@ ALL_SCENARIOS = (
 )
 
 
-def _digest(name: str, seed: int, algorithm: str, backend: str, **overrides):
+def _digest(
+    name: str, seed: int, algorithm: str, backend: str,
+    problem_assembly: str = "auto", **overrides,
+):
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
         backend=backend,
         **overrides,
     )
-    report = run_scenario(spec, audit=True)
+    report = reference_runtime(spec, problem_assembly=problem_assembly).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 

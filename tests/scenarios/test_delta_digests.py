@@ -21,7 +21,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.backend import numpy_available
-from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios import get_scenario
+from tests.conftest import reference_runtime
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -39,14 +40,17 @@ ALL_SCENARIOS = (
 BACKENDS = ("python", "numpy")
 
 
-def _digest(name: str, seed: int, algorithm: str, backend: str, **overrides):
+def _digest(
+    name: str, seed: int, algorithm: str, backend: str, rebuild_policy: str,
+    **modes,
+):
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
         backend=backend,
-        **overrides,
+        rebuild_policy=rebuild_policy,
     )
-    report = run_scenario(spec, audit=True)
+    report = reference_runtime(spec, **modes).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 

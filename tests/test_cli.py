@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser
+from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
 
 
 class TestParser:
@@ -162,6 +163,16 @@ class TestScenarioParser:
             _parse_partition("0:600")
         with pytest.raises(SystemExit):
             _parse_partition("a:b:c")
+
+    @pytest.mark.parametrize(
+        "flag", ["--problem-assembly", "--delta-source", "--drift-mode"]
+    )
+    def test_reference_mode_flags_removed(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["scenario", "run", "flash-crowd", flag, "diffed"]
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConvergenceParser:
@@ -334,3 +345,128 @@ class TestDisruptionCommand:
         assert "always" in out
         assert "incremental" in out
         assert "hybrid" in out
+
+
+#: Every ``scenario run`` flag that overrides a spec field: flag
+#: arguments -> expected (field, value) pairs.  Values differ from every
+#: named scenario's default so a dropped override cannot pass unseen.
+CONTROL_OVERRIDES = {
+    "--async-control": ([], {}),
+    "--control-delay-ms": (["7"], {"control_delay_ms": 7.0}),
+    "--debounce-ms": (["3"], {"debounce_ms": 3.0}),
+    "--loss-rate": (["0.1"], {"loss_rate": 0.1}),
+    "--jitter-ms": (["2"], {"jitter_ms": 2.0}),
+    "--duplicate-rate": (["0.05"], {"duplicate_rate": 0.05}),
+    "--partition": (
+        ["1:100:200"],
+        {"partitions": (PartitionWindow(site=1, start_ms=100.0, end_ms=200.0),)},
+    ),
+    "--heartbeat-ms": (["40"], {"heartbeat_ms": 40.0}),
+    "--miss-threshold": (["4"], {"miss_threshold": 4}),
+    "--retransmit-timeout-ms": (["60"], {"retransmit_timeout_ms": 60.0}),
+    "--server-outage": (
+        ["300:400"],
+        {"server_outages": (ServerOutageWindow(start_ms=300.0, end_ms=400.0),)},
+    ),
+    "--phi-threshold": (["8"], {"phi_threshold": 8.0}),
+    "--checkpoint-interval-ms": (["50"], {"checkpoint_interval_ms": 50.0}),
+}
+DATA_OVERRIDES = {
+    "--data-loss-rate": (["0.2"], {"data_loss_rate": 0.2}),
+    "--data-jitter-ms": (["1.5"], {"data_jitter_ms": 1.5}),
+    "--data-duplicate-rate": (["0.1"], {"data_duplicate_rate": 0.1}),
+    "--data-nack": ([], {"data_nack": True}),
+    "--data-max-repair-attempts": (["7"], {"data_max_repair_attempts": 7}),
+    "--data-repair-deadline-factor": (
+        ["4"], {"data_repair_deadline_factor": 4.0}
+    ),
+}
+SPEC_OVERRIDES = {
+    "--algorithm": (["co-rj"], {"algorithm": "co-rj"}),
+    "--rebuild-policy": (["hybrid"], {"rebuild_policy": "hybrid"}),
+    "--backend": (["python"], {"backend": "python"}),
+    **CONTROL_OVERRIDES,
+    **DATA_OVERRIDES,
+}
+#: ``scenario run`` options that steer the run, not the spec.
+RUN_OPTIONS = {
+    "command", "scenario_command", "name", "sites", "seed", "audit",
+    "strict", "dataplane", "max_unrecovered", "max_unrecovered_reports",
+    "max_unrecovered_frames",
+}
+
+
+def _flags(*names: str) -> list[str]:
+    argv: list[str] = []
+    for name in names:
+        argv += [name, *SPEC_OVERRIDES[name][0]]
+    return argv
+
+
+class TestScenarioOverrideMapping:
+    """``scenario run`` flags land on the spec handed to ``run_scenario``."""
+
+    @pytest.fixture
+    def run_spec(self, monkeypatch):
+        import repro.scenarios
+        from repro.cli import main
+        from repro.scenarios.runtime import ScenarioReport
+
+        def run(argv: list[str]):
+            captured = []
+
+            def fake_run(spec, audit, strict, dataplane):
+                captured.append(spec)
+                return ScenarioReport(
+                    name=spec.name,
+                    seed=spec.seed,
+                    n_sites=spec.n_sites,
+                    duration_ms=spec.duration_ms,
+                )
+
+            monkeypatch.setattr(repro.scenarios, "run_scenario", fake_run)
+            assert main(["scenario", "run", "flash-crowd", *argv]) == 0
+            (spec,) = captured
+            return spec
+
+        return run
+
+    def test_every_override_flag_is_covered(self):
+        args = build_parser().parse_args(["scenario", "run", "flash-crowd"])
+        dests = {
+            flag[2:].replace("-", "_") for flag in SPEC_OVERRIDES
+        }
+        assert set(vars(args)) - RUN_OPTIONS == dests
+
+    def test_every_flag_lands_on_its_field(self, run_spec):
+        spec = run_spec(_flags(*SPEC_OVERRIDES))
+        for _argv, expected in SPEC_OVERRIDES.values():
+            for field, value in expected.items():
+                assert getattr(spec, field) == value, field
+        assert spec.async_control
+
+    def test_unset_flags_keep_the_scenario(self, run_spec):
+        from repro.scenarios import get_scenario
+
+        assert run_spec([]) == get_scenario("flash-crowd", sites=8, seed=7)
+
+    @pytest.mark.parametrize("flag", sorted(CONTROL_OVERRIDES))
+    def test_control_flag_implies_async_control(self, flag, run_spec):
+        # A nonzero phi threshold needs heartbeats, and any outage needs
+        # heartbeats plus retransmission, to validate.  Phi is checked
+        # alone at 0; an outage cannot be, so it rides with both.
+        argv = {
+            "--phi-threshold": ["--phi-threshold", "0"],
+            "--server-outage": _flags(
+                "--server-outage", "--heartbeat-ms", "--retransmit-timeout-ms"
+            ),
+        }.get(flag, _flags(flag))
+        spec = run_spec(argv)
+        assert spec.async_control
+
+    def test_data_flags_leave_async_control_off(self, run_spec):
+        spec = run_spec(_flags(*DATA_OVERRIDES))
+        assert not spec.async_control
+        for _argv, expected in DATA_OVERRIDES.values():
+            for field, value in expected.items():
+                assert getattr(spec, field) == value, field
