@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lightweight CI for the reproduction repo.
 #
-#   scripts/ci.sh          tier-1 tests + one audited scenario smoke check
+#   scripts/ci.sh          tier-1 tests + the benchmark's own tests + one
+#                          audited scenario smoke check
 #   scripts/ci.sh --full   additionally enables the slow/stress test matrix
 #
 # Exits non-zero on any test failure or invariant violation.
@@ -26,9 +27,13 @@ if python -c "import numpy" >/dev/null 2>&1; then
     echo
     echo "== tier-1 tests (numpy array backend) =="
     TELE3D_BACKEND=numpy python -m pytest -x -q "${EXTRA[@]}"
+    # The benchmark pins the numpy backend, so its tests need numpy too.
+    echo
+    echo "== benchmark tests (strict-audited tiny runs of every workload) =="
+    python -m pytest perfbench/tests -q
 else
     echo
-    echo "ci.sh: numpy not importable, skipping numpy-backend pass"
+    echo "ci.sh: numpy not importable, skipping numpy-backend pass and benchmark tests"
 fi
 
 echo

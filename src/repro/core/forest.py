@@ -13,11 +13,21 @@ of which requests were satisfied or rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.errors import OverlayError
 from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.session.streams import StreamId
+
+
+def edge_sort_key(edge: tuple[StreamId, int, int]) -> tuple[int, int, int, int]:
+    """Canonical order of a (stream, parent, child) relay edge.
+
+    Sorting with this key gives the same order as sorting the edge
+    tuples themselves, without a ``StreamId.__lt__`` call per comparison.
+    """
+    stream, parent, child = edge
+    return stream.site, stream.index, parent, child
 
 
 class MulticastTree:
@@ -89,6 +99,19 @@ class MulticastTree:
         :meth:`cost_from_source` per member.
         """
         return self._cost_from_source
+
+    def parent_map(self) -> Mapping[int, int]:
+        """``child -> parent`` for every non-source member (shared, read-only).
+
+        Insertion order is attach order, so a parent always precedes its
+        children.  The invariant auditor reads the two adjacency views
+        through this and :meth:`children_map` instead of copying them.
+        """
+        return self._parent
+
+    def children_map(self) -> Mapping[int, list[int]]:
+        """``node -> children`` for every member (shared, read-only)."""
+        return self._children
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All (parent, child) edges."""

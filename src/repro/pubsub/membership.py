@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, ProtocolError, SubscriptionError
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
+from repro.core.forest import edge_sort_key
 from repro.core.incremental import (
     DEFAULT_DRIFT_BUDGET,
     IncrementalRepairer,
@@ -438,7 +439,7 @@ class MembershipServer:
         )
         self._last_result = result
         self._epoch += 1
-        edges = tuple(sorted(result.forest.edges()))
+        edges = tuple(sorted(result.forest.edges(), key=edge_sort_key))
         rejected = tuple(result.rejected)
         previous_edges = self._last_edges
         self._last_edges = edges
@@ -452,8 +453,8 @@ class MembershipServer:
                 edges=edges,
                 rejected=rejected,
                 base_epoch=self._epoch - 1,
-                added=tuple(sorted(new_set - old_set)),
-                removed=tuple(sorted(old_set - new_set)),
+                added=tuple(sorted(new_set - old_set, key=edge_sort_key)),
+                removed=tuple(sorted(old_set - new_set, key=edge_sort_key)),
             )
         return OverlayDirective(epoch=self._epoch, edges=edges, rejected=rejected)
 

@@ -9,6 +9,8 @@ forwarding table — which the data-plane simulator then executes.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.errors import ProtocolError
 from repro.pubsub.messages import (
     Advertisement,
@@ -147,6 +149,10 @@ class RPAgent:
     def next_hops(self, stream: StreamId) -> list[int]:
         """Children sites this RP must relay ``stream`` to."""
         return list(self._forwarding.get(stream, []))
+
+    def forwarding_table(self) -> Mapping[StreamId, list[int]]:
+        """The installed table, ``stream -> children`` (shared, read-only)."""
+        return self._forwarding
 
     def is_receiving(self, stream: StreamId) -> bool:
         """True when some tree edge delivers ``stream`` to this site."""

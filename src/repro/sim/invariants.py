@@ -20,9 +20,17 @@ principles:
 * **latency bound** — every satisfied subscriber's tree path costs less
   than ``B_cost``;
 * **pub-sub ↔ forest consistency** — the directive repeats the forest
-  edge-for-edge, every RP's forwarding table and receiving set match the
-  directive, streams are delivered only to sites that requested them,
-  and every satisfied request is actually receivable at its subscriber.
+  edge-for-edge, every RP's whole forwarding table (no entry the
+  directive did not dictate) and receiving set match the directive,
+  streams are delivered only to sites that requested them, and every
+  satisfied request is actually receivable at its subscriber.
+
+Every audit checks every tree, node, site and satisfied request.  It
+stays cheap by deriving each view once per call and sharing it: one
+canonically sorted forest edge list (degree recount, directive
+comparison, digest), one per-site index of the directive (expected
+tables and receiving sets), and a per-tree soundness test that sends
+only a broken tree down the exact path that names each breach.
 
 Every audited event appends a canonical line (event label, forest
 fingerprint, violation count) to an internal log; the SHA-256 over that
@@ -37,12 +45,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.base import BuildResult
-from repro.core.forest import MulticastTree, OverlayForest
+from repro.core.forest import MulticastTree, OverlayForest, edge_sort_key
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pubsub.messages import OverlayDirective
+    from repro.pubsub.messages import Edge, OverlayDirective
     from repro.pubsub.rp import RPAgent
+    from repro.session.streams import StreamId
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,9 @@ class InvariantAuditor:
         self, result: BuildResult, event: str = "build", time_ms: float = 0.0
     ) -> list[Violation]:
         """Audit one build result (forest + state, no pub-sub layer)."""
-        found: list[Violation] = []
-        found.extend(self._check_forest_structure(result.forest))
-        found.extend(self._check_degrees(result))
-        found.extend(self._check_latency(result))
-        found.extend(self._check_accounting(result))
-        self._commit(event, time_ms, result.forest, found)
+        edges = _canonical_edges(result.forest)
+        found = self._check_build(result, edges)
+        self._commit(event, time_ms, result.forest, edges, found)
         return found
 
     def audit_round(
@@ -130,13 +136,12 @@ class InvariantAuditor:
         time_ms: float = 0.0,
     ) -> list[Violation]:
         """Audit one full control round: build plus directive installation."""
-        found: list[Violation] = []
-        found.extend(self._check_forest_structure(result.forest))
-        found.extend(self._check_degrees(result))
-        found.extend(self._check_latency(result))
-        found.extend(self._check_accounting(result))
-        found.extend(self._check_membership(result, directive, rps, set(active)))
-        self._commit(event, time_ms, result.forest, found)
+        edges = _canonical_edges(result.forest)
+        found = self._check_build(result, edges)
+        found.extend(
+            self._check_membership(result, edges, directive, rps, set(active))
+        )
+        self._commit(event, time_ms, result.forest, edges, found)
         return found
 
     def report(self) -> AuditReport:
@@ -150,15 +155,25 @@ class InvariantAuditor:
 
     # -- individual invariants -----------------------------------------------------
 
+    def _check_build(self, result: BuildResult, edges: list[Edge]) -> list[Violation]:
+        """The forest-and-state invariants shared by both entry points."""
+        found = self._check_forest_structure(result.forest)
+        found.extend(self._check_degrees(result, edges))
+        found.extend(self._check_latency(result))
+        found.extend(self._check_accounting(result))
+        return found
+
     def _check_forest_structure(self, forest: OverlayForest) -> list[Violation]:
         """Acyclicity, reachability and parent/child symmetry per tree."""
         found: list[Violation] = []
         for stream, tree in forest.trees.items():
             self.checks_run += 1
-            found.extend(self._check_tree(stream, tree))
+            if not _tree_is_sound(tree):
+                found.extend(self._check_tree(stream, tree))
         return found
 
     def _check_tree(self, stream, tree: MulticastTree) -> list[Violation]:
+        """Name every structural breach of one tree (the slow, exact path)."""
         found: list[Violation] = []
         members = set(tree.members())
         # Parent/child symmetry: both adjacency views carry the same edges.
@@ -206,40 +221,40 @@ class InvariantAuditor:
                 current = parent
         return found
 
-    def _check_degrees(self, result: BuildResult) -> list[Violation]:
+    def _check_degrees(self, result: BuildResult, edges: list[Edge]) -> list[Violation]:
         """Per-RP capacity bounds and ledger/forest agreement."""
         found: list[Violation] = []
         problem, state, forest = result.problem, result.state, result.forest
-        din = {i: 0 for i in range(problem.n_nodes)}
-        dout = {i: 0 for i in range(problem.n_nodes)}
-        for _, parent, child in forest.edges():
+        n_nodes = problem.n_nodes
+        din = [0] * n_nodes
+        dout = [0] * n_nodes
+        for _, parent, child in edges:
             dout[parent] += 1
             din[child] += 1
         # Reservation accounting: m̂_i must equal the number of opened
         # groups sourced at i whose streams are not yet disseminated.
-        expected_m_hat = {i: 0 for i in range(problem.n_nodes)}
+        expected_m_hat = [0] * n_nodes
         if state.reservations:
             for group in problem.groups:
                 tree = forest.trees.get(group.stream)
                 disseminated = tree is not None and tree.disseminated
                 if state.is_open(group.stream) and not disseminated:
                     expected_m_hat[group.source] += 1
-        for node in range(problem.n_nodes):
-            self.checks_run += 1
-            if din[node] > problem.inbound_limit(node):
+        inbound, outbound = problem.inbound_limits(), problem.outbound_limits()
+        self.checks_run += n_nodes
+        for node in range(n_nodes):
+            if din[node] > inbound[node]:
                 found.append(
                     Violation(
                         "inbound-bound",
-                        f"node {node}: din {din[node]} > I "
-                        f"{problem.inbound_limit(node)}",
+                        f"node {node}: din {din[node]} > I {inbound[node]}",
                     )
                 )
-            if dout[node] > problem.outbound_limit(node):
+            if dout[node] > outbound[node]:
                 found.append(
                     Violation(
                         "outbound-bound",
-                        f"node {node}: dout {dout[node]} > O "
-                        f"{problem.outbound_limit(node)}",
+                        f"node {node}: dout {dout[node]} > O {outbound[node]}",
                     )
                 )
             if din[node] != state.din[node] or dout[node] != state.dout[node]:
@@ -274,9 +289,10 @@ class InvariantAuditor:
         """Path cost < B_cost for every satisfied subscriber."""
         found: list[Violation] = []
         bound = result.problem.latency_bound_ms
+        trees = result.forest.trees
+        self.checks_run += len(result.satisfied)
         for request in result.satisfied:
-            self.checks_run += 1
-            tree = result.forest.trees.get(request.stream)
+            tree = trees.get(request.stream)
             if tree is None or request.subscriber not in tree:
                 found.append(
                     Violation(
@@ -321,38 +337,47 @@ class InvariantAuditor:
     def _check_membership(
         self,
         result: BuildResult,
+        edges: list[Edge],
         directive: "OverlayDirective",
         rps: Mapping[int, "RPAgent"],
         active: set[int],
     ) -> list[Violation]:
         """Pub-sub membership ↔ forest consistency."""
         found: list[Violation] = []
-        forest_edges = set(result.forest.edges())
-        directive_edges = set(directive.edges)
         self.checks_run += 1
-        for edge in forest_edges - directive_edges:
-            found.append(
-                Violation("directive-fidelity", f"forest edge {edge} not dictated")
-            )
-        for edge in directive_edges - forest_edges:
-            found.append(
-                Violation("directive-fidelity", f"phantom directive edge {edge}")
-            )
+        # Both edge lists are in canonical order, so equal lists mean equal
+        # sets; only a mismatch needs the set differences that name it.
+        faithful = tuple(edges) == directive.edges
+        if not faithful:
+            forest_edges = set(result.forest.edges())
+            directive_edges = set(directive.edges)
+            for edge in forest_edges - directive_edges:
+                found.append(
+                    Violation("directive-fidelity", f"forest edge {edge} not dictated")
+                )
+            for edge in directive_edges - forest_edges:
+                found.append(
+                    Violation("directive-fidelity", f"phantom directive edge {edge}")
+                )
         # Delivery only to requesters: each receiving site asked for the stream.
-        requested = {
-            (member, group.stream)
-            for group in result.problem.groups
-            for member in group.subscribers
+        subscribers = {
+            group.stream: group.subscribers for group in result.problem.groups
         }
-        for stream, _, child in directive_edges:
+        for stream, _, child in set(directive.edges):
             self.checks_run += 1
-            if (child, stream) not in requested:
+            if child not in subscribers.get(stream, _NOBODY):
                 found.append(
                     Violation(
                         "membership",
                         f"site {child} receives unrequested stream {stream}",
                     )
                 )
+        # Per-site expected tables, indexed in one pass over the directive.
+        tables: dict[int, dict[StreamId, list[int]]] = {}
+        receiving: dict[int, set[StreamId]] = {}
+        for stream, parent, child in directive.edges:
+            tables.setdefault(parent, {}).setdefault(stream, []).append(child)
+            receiving.setdefault(child, set()).add(stream)
         for site in sorted(active):
             rp = rps.get(site)
             if rp is None:
@@ -369,28 +394,19 @@ class InvariantAuditor:
                         f"{directive.epoch}",
                     )
                 )
-            expected_table: dict = {}
-            for stream, child in directive.edges_of_site(site):
-                expected_table.setdefault(stream, []).append(child)
-            for stream, children in expected_table.items():
-                if sorted(rp.next_hops(stream)) != sorted(children):
-                    found.append(
-                        Violation(
-                            "forwarding-table",
-                            f"site {site} forwards {stream} to "
-                            f"{rp.next_hops(stream)}, directive says {children}",
-                        )
-                    )
-            expected_receiving = directive.streams_received_by(site)
-            if rp.received_streams() != expected_receiving:
+            expected_table = tables.get(site, {})
+            table = rp.forwarding_table()
+            if table != expected_table:
+                found.extend(_table_divergence(site, table, expected_table))
+            if rp.received_streams() != receiving.get(site, set()):
                 found.append(
                     Violation(
                         "forwarding-table",
                         f"site {site} receiving set diverges from directive",
                     )
                 )
+        self.checks_run += len(result.satisfied)
         for request in result.satisfied:
-            self.checks_run += 1
             rp = rps.get(request.subscriber)
             if rp is not None and not rp.is_receiving(request.stream):
                 found.append(
@@ -408,6 +424,7 @@ class InvariantAuditor:
         event: str,
         time_ms: float,
         forest: OverlayForest,
+        edges: list[Edge],
         found: list[Violation],
     ) -> None:
         """Stamp the audited event into the report and the digest log."""
@@ -418,8 +435,7 @@ class InvariantAuditor:
         ]
         self.violations.extend(stamped)
         fingerprint = ",".join(
-            f"{stream}:{parent}>{child}"
-            for stream, parent, child in sorted(forest.edges())
+            f"{stream}:{parent}>{child}" for stream, parent, child in edges
         )
         line = (
             f"{time_ms:.3f}|{event}|{fingerprint}|"
@@ -429,3 +445,72 @@ class InvariantAuditor:
         self._log.update(line.encode("utf-8"))
         if self.strict and stamped:
             raise SimulationError(f"invariant violated: {stamped[0].render()}")
+
+
+#: Subscriber set of a stream no group requests.
+_NOBODY: frozenset[int] = frozenset()
+
+
+def _canonical_edges(forest: OverlayForest) -> list[Edge]:
+    """The forest's relay edges, once, in canonical (directive) order."""
+    edges = [
+        (stream, parent, child)
+        for stream, tree in forest.trees.items()
+        for child, parent in tree.parent_map().items()
+    ]
+    edges.sort(key=edge_sort_key)
+    return edges
+
+
+def _tree_is_sound(tree: MulticastTree) -> bool:
+    """True when :meth:`InvariantAuditor._check_tree` would find nothing.
+
+    A sufficient test in O(members), without the two edge sets: every member
+    but the source has a parent that was reached before it (so all reach
+    the source, acyclically), and the children lists, read child ->
+    parent, rebuild the parent map exactly with no entry repeated (so
+    both views hold one edge set).  False only sends the tree down the
+    exact path, which then names each breach.
+    """
+    parents, children = tree.parent_map(), tree.children_map()
+    if len(parents) != len(children) - 1 or tree.source in parents:
+        return False
+    reached = {tree.source}
+    for child, parent in parents.items():
+        if parent not in reached or child not in children:
+            return False
+        reached.add(child)
+    rebuilt = {kid: node for node, kids in children.items() for kid in kids}
+    return rebuilt == parents and sum(map(len, children.values())) == len(parents)
+
+
+def _table_divergence(
+    site: int,
+    table: Mapping[StreamId, list[int]],
+    expected: Mapping[StreamId, list[int]],
+) -> list[Violation]:
+    """Name how an RP's forwarding table differs from the dictated one.
+
+    Child order is not significant; an entry the directive never
+    dictated is.
+    """
+    found: list[Violation] = []
+    for stream, children in expected.items():
+        hops = table.get(stream, [])
+        if sorted(hops) != sorted(children):
+            found.append(
+                Violation(
+                    "forwarding-table",
+                    f"site {site} forwards {stream} to {list(hops)}, "
+                    f"directive says {children}",
+                )
+            )
+    for stream in sorted(table.keys() - expected.keys()):
+        found.append(
+            Violation(
+                "forwarding-table",
+                f"site {site} forwards {stream} to {list(table[stream])}, "
+                f"directive dictates no such entry",
+            )
+        )
+    return found

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OverlayError
-from repro.core.forest import MulticastTree, OverlayForest
+from repro.core.forest import MulticastTree, OverlayForest, edge_sort_key
 from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.session.streams import StreamId
 
@@ -158,3 +160,24 @@ class TestOverlayForest:
         forest = OverlayForest()
         forest.tree(StreamId(0, 0)).attach(0, 1, 1.0)
         forest.validate()
+
+
+#: Tiny ranges, so random edges tie on site, index and parent.
+small = st.integers(min_value=0, max_value=3)
+relay_edges = st.tuples(st.builds(StreamId, small, small), small, small)
+
+
+class TestEdgeSortKey:
+    @settings(max_examples=200, deadline=None)
+    @given(edges=st.lists(relay_edges, max_size=40))
+    def test_matches_natural_edge_order(self, edges):
+        assert sorted(edges, key=edge_sort_key) == sorted(edges)
+
+    def test_key_fields(self):
+        assert edge_sort_key((StreamId(3, 1), 4, 5)) == (3, 1, 4, 5)
+
+    def test_tree_views_are_shared_read_only_maps(self):
+        tree = chain_tree()
+        assert tree.parent_map() == {1: 0, 2: 1, 3: 0}
+        assert list(tree.parent_map()) == [1, 2, 3]  # attach order
+        assert tree.children_map() == {0: [1, 3], 1: [2], 2: [], 3: []}

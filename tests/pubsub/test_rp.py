@@ -84,6 +84,10 @@ class TestDirectiveApplication:
         assert agent.next_hops(StreamId(1, 0)) == [2]
         assert agent.next_hops(StreamId(0, 0)) == [3]
         assert agent.next_hops(StreamId(9, 9)) == []
+        assert agent.forwarding_table() == {
+            StreamId(1, 0): [2],
+            StreamId(0, 0): [3],
+        }
 
     def test_receiving_set(self, agent):
         agent.apply_directive(self.make_directive())
